@@ -2,10 +2,11 @@
 //!
 //! `sparse_dot_topn` computes exact Top-K sparse-dense products on CPU
 //! with CSR traversal and per-row bounded heaps. This module is the same
-//! algorithm in Rust: rows are split across worker threads (`std::thread`
-//! scoped threads), each worker keeps a local [`BoundedMinHeap`], and the
-//! locals are merged at the end. Arithmetic is `f32` accumulated in `f64`
-//! per row — matching a careful C++ float implementation.
+//! algorithm in Rust: rows are split into ranges that run as tasks on the
+//! shared [`tkspmv::exec`] executor, each range keeps a local
+//! [`BoundedMinHeap`], and the locals are merged at the end. Arithmetic
+//! is `f32` accumulated in `f64` per row — matching a careful C++ float
+//! implementation.
 
 use std::time::Instant;
 
@@ -13,7 +14,7 @@ use tkspmv_sparse::{Csr, DenseVector};
 
 use crate::heap::BoundedMinHeap;
 use tkspmv::backend::{BackendPerf, BackendStats, PreparedMatrix, QueryResult, TopKBackend};
-use tkspmv::{EngineError, TopKResult};
+use tkspmv::{exec, EngineError, TopKResult};
 
 /// Exact multi-threaded CPU Top-K SpMV.
 ///
@@ -40,12 +41,13 @@ pub struct CpuRun {
     pub topk: TopKResult,
     /// Measured wall-clock seconds.
     pub seconds: f64,
-    /// Worker threads used.
+    /// Row ranges the query was split into.
     pub threads: usize,
 }
 
 impl CpuTopK {
-    /// Creates a runner with the given worker-thread count.
+    /// Creates a runner that splits each query into `threads` row ranges,
+    /// run as tasks on the shared executor (one range runs inline).
     ///
     /// # Panics
     ///
@@ -82,35 +84,32 @@ impl CpuTopK {
         let threads = self.threads.min(csr.num_rows()).max(1);
         let rows_per_thread = csr.num_rows().div_ceil(threads);
 
-        let heaps: Vec<BoundedMinHeap> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = t * rows_per_thread;
-                    let hi = ((t + 1) * rows_per_thread).min(csr.num_rows());
-                    scope.spawn(move || {
-                        let mut heap = BoundedMinHeap::new(k);
-                        for r in lo..hi {
-                            let mut acc = 0.0f64;
-                            for (c, v) in csr.row(r) {
-                                acc += v as f64 * x[c as usize] as f64;
-                            }
-                            heap.push(r as u32, acc);
-                        }
-                        heap
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // invariant: join fails only when the worker panicked; propagating that panic is intended
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-
-        let mut merged = BoundedMinHeap::new(k);
-        for h in heaps {
-            merged.merge(h);
-        }
+        let score_range = move |csr: &Csr, x: &[f32], t: usize| {
+            let lo = t * rows_per_thread;
+            let hi = ((t + 1) * rows_per_thread).min(csr.num_rows());
+            let mut heap = BoundedMinHeap::new(k);
+            for r in lo..hi {
+                let mut acc = 0.0f64;
+                for (c, v) in csr.row(r) {
+                    acc += v as f64 * x[c as usize] as f64;
+                }
+                heap.push(r as u32, acc);
+            }
+            heap
+        };
+        let merged = if threads == 1 {
+            score_range(csr, x, 0)
+        } else {
+            // Executor tasks are `'static`: the CSR clone shares its
+            // arrays, and the query is copied once per call.
+            let (csr, x) = (csr.clone(), x.to_vec());
+            let heaps = exec::run_tasks(threads, move |t| score_range(&csr, &x, t));
+            let mut merged = BoundedMinHeap::new(k);
+            for h in heaps {
+                merged.merge(h);
+            }
+            merged
+        };
         CpuRun {
             topk: TopKResult::from_pairs(merged.into_sorted_desc()),
             seconds: started.elapsed().as_secs_f64(),

@@ -76,6 +76,76 @@ struct Segment {
 /// `dvals`/`cidx` chunk stays inside L1 alongside a query vector.
 const CHUNK_PACKETS: usize = 64;
 
+/// Query lanes replayed together by one pass over a chunk: a full block
+/// holds one query value per lane for every column, so each matrix entry
+/// costs one load of its value and index, one gather of `LANES` query
+/// values, and `LANES` independent multiply-accumulates. On baseline
+/// x86-64 the f32 lanes compile to packed SIMD; the fixed-point lanes
+/// stay scalar (SSE2 has no 64-bit unsigned compare for the saturating
+/// add) but still share the loads and run as independent chains.
+pub(crate) const LANES: usize = 8;
+
+/// A batch's queries laid out for the lane replay, built once per batch
+/// and read by every partition.
+///
+/// The first `full * LANES` queries sit in column-major blocks
+/// (`blocks[j * cols + c][l]` is column `c` of query `j * LANES + l`);
+/// the `B mod LANES` remaining queries stay row-major in `rest` and take
+/// the scalar lane pass, so small batches never pay for padded lanes.
+#[derive(Debug, Clone)]
+pub(crate) struct QueryBlock<S> {
+    /// Entries kept per query: the shortest query's length.
+    cols: usize,
+    /// Queries in the batch.
+    lanes: usize,
+    /// Full lane blocks, column-major.
+    blocks: Vec<[S; LANES]>,
+    /// The remainder queries, row-major.
+    rest: Vec<S>,
+}
+
+impl<S> Default for QueryBlock<S> {
+    // alloc-ok(fn): empty vecs, allocation-free until the first fill.
+    fn default() -> Self {
+        Self {
+            cols: 0,
+            lanes: 0,
+            blocks: Vec::new(),
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl<S: SpmvScalar> QueryBlock<S> {
+    /// Refills the block from `queries`, reusing its capacity.
+    pub(crate) fn fill<Q: AsRef<[S]>>(&mut self, queries: &[Q]) {
+        let cols = queries.iter().map(|q| q.as_ref().len()).min().unwrap_or(0);
+        let full = queries.len() / LANES;
+        self.cols = cols;
+        self.lanes = queries.len();
+        self.blocks.clear();
+        for group in queries[..full * LANES].chunks_exact(LANES) {
+            self.blocks
+                .extend((0..cols).map(|c| std::array::from_fn(|l| group[l].as_ref()[c])));
+        }
+        self.rest.clear();
+        for q in &queries[full * LANES..] {
+            self.rest.extend_from_slice(&q.as_ref()[..cols]);
+        }
+    }
+
+    /// Queries in the batch.
+    pub(crate) fn len(&self) -> usize {
+        self.lanes
+    }
+
+    /// Where the full blocks live, so tests can tell reuse from rebuild.
+    #[cfg(test)]
+    pub(crate) fn blocks_ptr(&self) -> *const [S; LANES] {
+        self.blocks.as_ptr()
+    }
+}
+
 /// Reusable working memory for [`run_core_batch_with_scratch`]: the
 /// decoded packet fields, the once-per-packet decoded matrix values, and
 /// one resident lane (Top-K tracker + carry) per query in the batch.
@@ -87,8 +157,20 @@ const CHUNK_PACKETS: usize = 64;
 /// per packet — *independent of both the packet count and the batch
 /// size* (asserted by the `zero_alloc` integration test). That is what
 /// lets the software model be bandwidth- rather than allocator-bound.
+/// The multi-core engine keeps one resident on every executor thread.
 #[derive(Debug, Clone)]
 pub struct BatchScratch<S: SpmvScalar> {
+    /// The stream and lane state of a pass.
+    pub(crate) core: CoreState<S>,
+    /// The batch's query block when the caller passes plain query
+    /// slices ([`run_core_batch_with_scratch`]); the multi-core engine
+    /// shares one block across partitions instead.
+    block: QueryBlock<S>,
+}
+
+/// Everything a core pass mutates except the queries.
+#[derive(Debug, Clone)]
+pub(crate) struct CoreState<S: SpmvScalar> {
     /// Decoded packet fields (`row_ends` / `idx` / `val`).
     packet: PacketScratch,
     /// The current chunk's values decoded into the scalar domain —
@@ -114,12 +196,15 @@ impl<S: SpmvScalar> BatchScratch<S> {
     // buffers whose reuse makes the batch loop allocation-free.
     pub fn new() -> Self {
         Self {
-            packet: PacketScratch::new(),
-            dvals: Vec::new(),
-            cidx: Vec::new(),
-            segs: Vec::new(),
-            lanes: Vec::new(),
-            outputs: Vec::new(),
+            core: CoreState {
+                packet: PacketScratch::new(),
+                dvals: Vec::new(),
+                cidx: Vec::new(),
+                segs: Vec::new(),
+                lanes: Vec::new(),
+                outputs: Vec::new(),
+            },
+            block: QueryBlock::default(),
         }
     }
 }
@@ -191,8 +276,8 @@ pub fn run_core<S: SpmvScalar>(
 /// overwrites the scratch completely), but reusing one [`CoreScratch`]
 /// across packets, queries, and matrices keeps the decode→accumulate
 /// loop free of heap allocation. [`run_multicore`] and
-/// [`run_multicore_batch`] allocate one scratch per partition thread and
-/// stream everything through it.
+/// [`run_multicore_batch`] keep one batch scratch resident on every
+/// executor thread and stream every partition through it.
 ///
 /// [`run_multicore`]: crate::run_multicore
 /// [`run_multicore_batch`]: crate::run_multicore_batch
@@ -247,18 +332,34 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     fidelity: Fidelity,
     scratch: &'s mut BatchScratch<S>,
 ) -> &'s [CoreOutput<S::Acc>] {
+    if queries.is_empty() {
+        return &[];
+    }
+    scratch.block.fill(queries);
+    run_core_block(matrix, &scratch.block, k, fidelity, &mut scratch.core)
+}
+
+/// [`run_core_batch_with_scratch`] over a prebuilt [`QueryBlock`] — the
+/// multi-core engine builds one block per batch and shares it across
+/// every partition's task.
+pub(crate) fn run_core_block<'s, S: SpmvScalar>(
+    matrix: &BsCsr,
+    queries: &QueryBlock<S>,
+    k: usize,
+    fidelity: Fidelity,
+    scratch: &'s mut CoreState<S>,
+) -> &'s [CoreOutput<S::Acc>] {
     let b = queries.len();
     if b == 0 {
         return &[];
     }
-    for q in queries {
-        assert!(
-            q.as_ref().len() >= matrix.num_cols(),
-            "query vector has {} entries, matrix needs {}",
-            q.as_ref().len(),
-            matrix.num_cols()
-        );
-    }
+    let cols = matrix.num_cols();
+    assert!(
+        queries.cols >= cols,
+        "query vector has {} entries, matrix needs {}",
+        queries.cols,
+        cols
+    );
 
     // Activate the first `b` lanes, reusing warm slab capacity; lanes
     // beyond `b` are left untouched so a later, larger batch finds them
@@ -273,6 +374,7 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
             carry: S::acc_zero(),
         });
     }
+    let full = b / LANES;
 
     // Query-independent stream state: stats, the row cursor, and whether
     // the previous packet left a row open (each lane holds its own carry
@@ -351,16 +453,21 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
 
         decode_timer.stop();
 
-        let dvals = &scratch.dvals;
-        let idx = &scratch.cidx;
-        let segs = &scratch.segs;
+        let chunk = Chunk {
+            dvals: &scratch.dvals,
+            idx: &scratch.cidx,
+            segs: &scratch.segs,
+            tail,
+        };
         let score_timer = crate::obs_hooks::StageTimer::start(crate::obs_hooks::STAGE_SCORE);
 
         // Stages 1b+2+3+4 per lane: fused gather-multiply-accumulate
-        // replaying the shared segment program, then the Top-K offer.
-        // Per query the multiply/accumulate order is exactly the
-        // sequential path's packet-arrival order, so sums (including
-        // fixed-point saturation) are bit-identical.
+        // replaying the shared segment program, then the Top-K offer —
+        // `LANES` queries at a time over the full blocks, one at a time
+        // over the remainder. Per query the multiply/accumulate order is
+        // exactly the sequential path's packet-arrival order, so sums
+        // (including fixed-point saturation and float rounding) are
+        // bit-identical whichever pass a query takes.
         //
         // When the column count is a power of two — the paper's M = 1024
         // operating point, and the only case where every encodable `idx`
@@ -368,17 +475,25 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         // of bounds-checking it: identical reads for every valid stream,
         // no panic path in the inner loop. Other widths keep the checked
         // gather.
-        if let Some(col_mask) = pow2_col_mask(matrix.num_cols()) {
-            for (lane, q) in scratch.lanes[..b].iter_mut().zip(queries) {
-                let x = &q.as_ref()[..matrix.num_cols()];
-                lane_pass::<S>(lane, x, dvals, idx, segs, tail, |x, i| {
-                    x[i as usize & col_mask]
+        let (block_lanes, rest_lanes) = scratch.lanes[..b].split_at_mut(full * LANES);
+        // (`max(1)`: a zero-width matrix has empty query rows.)
+        let blocks = queries.blocks.chunks_exact(queries.cols.max(1));
+        let rest = queries.rest.chunks_exact(queries.cols.max(1));
+        if let Some(col_mask) = pow2_col_mask(cols) {
+            for (lanes, xb) in block_lanes.chunks_exact_mut(LANES).zip(blocks) {
+                block_pass::<S>(lanes, &xb[..cols], &chunk, |xb, i| {
+                    xb[i as usize & col_mask]
                 });
             }
+            for (lane, x) in rest_lanes.iter_mut().zip(rest) {
+                lane_pass::<S>(lane, &x[..cols], &chunk, |x, i| x[i as usize & col_mask]);
+            }
         } else {
-            for (lane, q) in scratch.lanes[..b].iter_mut().zip(queries) {
-                let x = q.as_ref();
-                lane_pass::<S>(lane, x, dvals, idx, segs, tail, |x, i| x[i as usize]);
+            for (lanes, xb) in block_lanes.chunks_exact_mut(LANES).zip(blocks) {
+                block_pass::<S>(lanes, xb, &chunk, |xb, i| xb[i as usize]);
+            }
+            for (lane, x) in rest_lanes.iter_mut().zip(rest) {
+                lane_pass::<S>(lane, x, &chunk, |x, i| x[i as usize]);
             }
         }
         score_timer.stop();
@@ -421,7 +536,17 @@ fn pow2_col_mask(num_cols: usize) -> Option<usize> {
     (num_cols.is_power_of_two()).then(|| num_cols - 1)
 }
 
-/// Replays the shared segment program of one packet for one query lane:
+/// One decoded chunk, shared by every lane pass: the flat entry arrays,
+/// the segment program, and the open row (if any) carried past its end.
+struct Chunk<'a, S> {
+    dvals: &'a [S],
+    idx: &'a [u32],
+    segs: &'a [Segment],
+    /// `(first entry, continues a carry)` of the row left open.
+    tail: Option<(usize, bool)>,
+}
+
+/// Replays the shared segment program of one chunk for one query lane:
 /// fused gather-multiply-accumulate per segment, Top-K offer for rows
 /// the `r` gate admits, carry update from the tail.
 ///
@@ -432,38 +557,84 @@ fn pow2_col_mask(num_cols: usize) -> Option<usize> {
 fn lane_pass<S: SpmvScalar>(
     lane: &mut QueryLane<S>,
     x: &[S],
-    dvals: &[S],
-    idx: &[u32],
-    segs: &[Segment],
-    tail: Option<(usize, bool)>,
+    chunk: &Chunk<'_, S>,
     gather: impl Fn(&[S], u32) -> S,
 ) {
-    for seg in segs {
-        let mut acc = if seg.use_carry {
+    let accumulate = |mut acc: S::Acc, start: usize, end: usize| {
+        for (&d, &i) in chunk.dvals[start..end].iter().zip(&chunk.idx[start..end]) {
+            acc = S::acc_add(acc, S::mul(d, gather(x, i)));
+        }
+        acc
+    };
+    for seg in chunk.segs {
+        let init = if seg.use_carry {
             lane.carry
         } else {
             S::acc_zero()
         };
-        for (&d, &i) in dvals[seg.start as usize..seg.end as usize]
-            .iter()
-            .zip(&idx[seg.start as usize..seg.end as usize])
-        {
-            acc = S::acc_add(acc, S::mul(d, gather(x, i)));
-        }
+        let acc = accumulate(init, seg.start as usize, seg.end as usize);
         if seg.offer {
             lane.tracker.insert(seg.row, acc);
         }
     }
-    lane.carry = match tail {
+    lane.carry = match chunk.tail {
         Some((start, use_carry)) => {
-            let mut acc = if use_carry { lane.carry } else { S::acc_zero() };
-            for (&d, &i) in dvals[start..].iter().zip(&idx[start..]) {
-                acc = S::acc_add(acc, S::mul(d, gather(x, i)));
-            }
-            acc
+            let init = if use_carry { lane.carry } else { S::acc_zero() };
+            accumulate(init, start, chunk.dvals.len())
         }
         None => S::acc_zero(),
     };
+}
+
+/// [`lane_pass`] for a full block of `LANES` queries: each entry's value
+/// and index are loaded once, one gather fetches all `LANES` query
+/// values for its column, and `LANES` independent accumulators take one
+/// multiply-accumulate each. Every lane sees exactly the operation
+/// sequence [`lane_pass`] would give it.
+#[inline(always)]
+fn block_pass<S: SpmvScalar>(
+    lanes: &mut [QueryLane<S>],
+    xb: &[[S; LANES]],
+    chunk: &Chunk<'_, S>,
+    gather: impl Fn(&[[S; LANES]], u32) -> [S; LANES],
+) {
+    let accumulate = |acc: &mut [S::Acc; LANES], start: usize, end: usize| {
+        for (&d, &i) in chunk.dvals[start..end].iter().zip(&chunk.idx[start..end]) {
+            let xs = gather(xb, i);
+            for (a, &x) in acc.iter_mut().zip(&xs) {
+                *a = S::acc_add(*a, S::mul(d, x));
+            }
+        }
+    };
+    let carry: [S::Acc; LANES] = std::array::from_fn(|l| lanes[l].carry);
+    for seg in chunk.segs {
+        let mut acc = if seg.use_carry {
+            carry
+        } else {
+            [S::acc_zero(); LANES]
+        };
+        accumulate(&mut acc, seg.start as usize, seg.end as usize);
+        if seg.offer {
+            for (lane, &a) in lanes.iter_mut().zip(&acc) {
+                lane.tracker.insert(seg.row, a);
+            }
+        }
+    }
+    let carry = match chunk.tail {
+        Some((start, use_carry)) => {
+            let mut acc = if use_carry {
+                carry
+            } else {
+                [S::acc_zero(); LANES]
+            };
+            accumulate(&mut acc, start, chunk.dvals.len());
+            acc
+        }
+        None => [S::acc_zero(); LANES],
+    };
+    for (lane, c) in lanes.iter_mut().zip(carry) {
+        lane.carry = c;
+    }
 }
 
 /// Quantises a dense query vector into the scalar domain `S` — the URAM
@@ -618,6 +789,47 @@ mod tests {
         let reference = run_core::<Q1_19>(&bs, &x, 8, Fidelity::Reference);
         assert_eq!(faithful.topk, reference.topk);
         assert_eq!(faithful.stats.rows_dropped, 0);
+    }
+
+    /// Lane blocks against the scalar pass on a stream many chunks long,
+    /// with rows that carry across chunk boundaries: B = 19 is two full
+    /// blocks plus three scalar lanes, and every lane must equal its
+    /// own single-query run bit for bit.
+    fn blocks_match_scalar_lanes_across_chunks<S: SpmvScalar>() {
+        let mut csr = tkspmv_sparse::gen::SyntheticConfig {
+            num_rows: 300,
+            num_cols: 1024,
+            avg_nnz_per_row: 60,
+            distribution: tkspmv_sparse::gen::NnzDistribution::table3_gamma(),
+            seed: 12,
+        }
+        .generate();
+        csr.normalize_rows();
+        let bs = BsCsr::encode::<S>(&csr, PacketLayout::solve(1024, S::VALUE_BITS).unwrap());
+        assert!(bs.num_packets() > 4 * CHUNK_PACKETS);
+        let queries: Vec<Vec<S>> = (0..19u64)
+            .map(|q| quantize_vector::<S>(tkspmv_sparse::gen::query_vector(1024, q).as_slice()))
+            .collect();
+        for fidelity in [
+            Fidelity::Faithful { rows_per_packet: 3 },
+            Fidelity::Reference,
+        ] {
+            let mut scratch = BatchScratch::new();
+            let batch = run_core_batch_with_scratch(&bs, &queries, 16, fidelity, &mut scratch);
+            for (x, got) in queries.iter().zip(batch) {
+                let single = run_core::<S>(&bs, x, 16, fidelity);
+                assert_eq!(single.topk, got.topk);
+                assert_eq!(single.stats, got.stats);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_blocks_are_bit_identical_across_chunk_boundaries() {
+        blocks_match_scalar_lanes_across_chunks::<Q1_19>();
+        blocks_match_scalar_lanes_across_chunks::<Q1_31>();
+        blocks_match_scalar_lanes_across_chunks::<F32>();
+        blocks_match_scalar_lanes_across_chunks::<tkspmv_fixed::Half>();
     }
 
     #[test]

@@ -9,11 +9,9 @@
 
 mod core_model;
 mod multicore;
-mod trace;
 
 pub use core_model::{
     quantize_vector, run_core, run_core_batch_with_scratch, run_core_with_scratch, BatchScratch,
     CoreOutput, CoreScratch, CoreStats, Fidelity,
 };
 pub use multicore::{run_multicore, run_multicore_batch, MulticoreOutput};
-pub use trace::{trace_core, PacketTrace};

@@ -1,9 +1,12 @@
 //! Multi-core execution: the §III-A partitioned approximation.
 
+use std::sync::Arc;
+
 use tkspmv_fixed::SpmvScalar;
 use tkspmv_sparse::BsCsr;
 
-use super::core_model::{run_core_batch_with_scratch, BatchScratch, CoreStats, Fidelity};
+use super::core_model::{run_core_block, BatchScratch, CoreStats, Fidelity, QueryBlock};
+use crate::exec;
 use crate::topk::TopKResult;
 
 /// Output of a multi-core run: the merged approximate Top-K plus
@@ -28,8 +31,11 @@ pub struct MulticoreOutput {
 /// approximation: it is exact whenever no partition holds more than `k`
 /// of the true global Top-K (Figure 2).
 ///
-/// Cores execute on OS threads to mirror their hardware independence
-/// (and to keep the emulator fast at 32 cores).
+/// The `c` cores are a *semantic* parameter: they fix the row
+/// partitioning and the per-core `k`, and so the answer. How many of
+/// them run at once is the host's business — each partition is one task
+/// on the shared [`exec`](crate::exec) executor, which never changes a
+/// result.
 ///
 /// # Panics
 ///
@@ -53,19 +59,20 @@ pub fn run_multicore<S: SpmvScalar>(
 /// Runs a batch of queries over the same partitioned matrix, one
 /// [`MulticoreOutput`] per query, in input order.
 ///
-/// This is the **matrix-major** loop: each partition thread is spawned
-/// once per batch and makes **one pass** over its packet stream,
-/// decoding every BS-CSR packet into its scratch exactly once and
-/// accumulating the decoded entries into all B resident query lanes
-/// before advancing (see
-/// [`run_core_batch_with_scratch`](crate::run_core_batch_with_scratch)).
-/// That mirrors the hardware — the BS-CSR stream stays resident in its
-/// HBM channel while B query vectors sit in URAM — and amortises packet
-/// field extraction, value decode, thread setup, and partition traversal
-/// across the batch. The per-query cost therefore falls toward the pure
-/// multiply-accumulate floor as B grows, where the query-major
+/// This is the **matrix-major** loop: each partition is one executor
+/// task per batch that makes **one pass** over its packet stream,
+/// decoding every BS-CSR packet into the running thread's resident
+/// scratch exactly once and accumulating the decoded entries into all B
+/// query lanes before advancing (see
+/// [`run_core_batch_with_scratch`](crate::run_core_batch_with_scratch)),
+/// eight lanes at a time. That mirrors the hardware — the BS-CSR stream
+/// stays resident in its HBM channel while B query vectors sit in URAM —
+/// and amortises packet field extraction, value decode, and partition
+/// traversal across the batch. The per-query cost therefore falls toward
+/// the pure multiply-accumulate floor as B grows, where the query-major
 /// formulation (B full decode passes per partition) paid the decode
-/// every time.
+/// every time. The queries are laid out for the lane replay once per
+/// batch, in a block every partition shares.
 ///
 /// Results are **bit-identical** to running each query alone: per
 /// query, multiplies, accumulations, and Top-K offers happen in the
@@ -87,12 +94,13 @@ pub fn run_multicore_batch<S: SpmvScalar>(
 }
 
 /// Shared implementation behind [`run_multicore`] (B = 1) and
-/// [`run_multicore_batch`]: one thread per partition, one matrix-major
-/// pass over each partition's packets per batch.
+/// [`run_multicore_batch`]: one executor task per partition, one
+/// matrix-major pass over each partition's packets per batch.
 // alloc-ok(fn): per-batch fan-out and owned result assembly; the
-// per-packet loop lives in run_core_batch_with_scratch, which reuses
-// each thread's BatchScratch across batches.
-fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
+// per-packet loop lives in run_core_block, which reuses each executor
+// thread's resident BatchScratch across batches, and the query block is
+// resident on the calling thread.
+fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]>>(
     partitions: &[(usize, BsCsr)],
     queries: &[Q],
     k: usize,
@@ -110,39 +118,40 @@ fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
     }
 
     // `per_partition[p][q]` = partition p's globalised top-k and stats
-    // for query q. Each partition thread owns one BatchScratch and makes
-    // a single decode-once pass over its packets for the whole batch, so
-    // the steady-state loop allocates nothing per packet.
+    // for query q. The batch's query block is built once, on the
+    // caller's resident buffer, and shared by every partition task;
+    // each task streams its partition through the running thread's
+    // resident BatchScratch, so the steady-state loop allocates nothing
+    // per packet.
     type PerQuery = Vec<(Vec<(u32, f64)>, CoreStats)>;
-    let per_partition: Vec<PerQuery> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .iter()
-            .map(|(first_row, part)| {
-                scope.spawn(move || {
-                    let mut scratch = BatchScratch::<S>::new();
-                    let outputs =
-                        run_core_batch_with_scratch(part, queries, k, fidelity, &mut scratch);
-                    outputs
-                        .iter()
-                        .map(|out| {
-                            let globalised: Vec<(u32, f64)> = out
-                                .topk
-                                .iter()
-                                .map(|&(local, acc)| {
-                                    (local + *first_row as u32, S::acc_to_f64(acc))
-                                })
-                                .collect();
-                            (globalised, out.stats)
-                        })
-                        .collect()
-                })
+    let per_partition: Vec<PerQuery> = exec::with_resident(|spare: &mut QueryBlock<S>| {
+        let mut block = std::mem::take(spare);
+        block.fill(queries);
+        let block = Arc::new(block);
+        let shared = Arc::clone(&block);
+        let parts = partitions.to_vec();
+        let per_partition = exec::run_tasks(parts.len(), move |p| {
+            let (first_row, part) = &parts[p];
+            exec::with_resident(|scratch: &mut BatchScratch<S>| {
+                run_core_block(part, &shared, k, fidelity, &mut scratch.core)
+                    .iter()
+                    .map(|out| {
+                        let globalised: Vec<(u32, f64)> = out
+                            .topk
+                            .iter()
+                            .map(|&(local, acc)| (local + *first_row as u32, S::acc_to_f64(acc)))
+                            .collect();
+                        (globalised, out.stats)
+                    })
+                    .collect()
             })
-            .collect();
-        handles
-            .into_iter()
-            // invariant: join fails only when the worker panicked; propagating that panic is intended
-            .map(|h| h.join().expect("core thread panicked"))
-            .collect()
+        });
+        // `run_tasks` has dropped the task closure, so the block is
+        // unique again and goes back for the next batch.
+        if let Ok(block) = Arc::try_unwrap(block) {
+            *spare = block;
+        }
+        per_partition
     });
 
     // Transpose partition-major to query-major by moving each per-query
@@ -293,6 +302,33 @@ mod tests {
             assert_eq!(got.topk, single.topk);
             assert_eq!(got.core_stats, single.core_stats);
             assert_eq!(got.max_packets_per_core, single.max_packets_per_core);
+        }
+    }
+
+    #[test]
+    fn query_block_stays_resident_on_the_calling_thread() {
+        let csr = SyntheticConfig {
+            num_rows: 300,
+            num_cols: 64,
+            avg_nnz_per_row: 8,
+            distribution: NnzDistribution::Uniform,
+            seed: 4,
+        }
+        .generate();
+        let parts = encode_partitions(&csr, 4);
+        let queries: Vec<Vec<_>> = (0..16u64)
+            .map(|q| quantize_vector::<Q1_31>(query_vector(64, q).as_slice()))
+            .collect();
+        let resident = || {
+            exec::with_resident(|block: &mut QueryBlock<Q1_31>| (block.len(), block.blocks_ptr()))
+        };
+        let first = run_multicore_batch::<Q1_31>(&parts, &queries, 8, 8, Fidelity::Reference);
+        let (lanes, ptr) = resident();
+        assert_eq!(lanes, 16, "the batch's block came back to the caller");
+        let second = run_multicore_batch::<Q1_31>(&parts, &queries, 8, 8, Fidelity::Reference);
+        assert_eq!(resident().1, ptr, "the next batch refilled the same buffer");
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a.topk, b.topk);
         }
     }
 

@@ -70,6 +70,7 @@ pub mod approx;
 pub mod backend;
 pub mod engine;
 mod error;
+pub mod exec;
 mod math;
 pub mod obs_hooks;
 mod perf;
@@ -85,8 +86,8 @@ pub use backend::{
 };
 pub use engine::{
     quantize_vector, run_core, run_core_batch_with_scratch, run_core_with_scratch, run_multicore,
-    run_multicore_batch, trace_core, BatchScratch, CoreOutput, CoreScratch, CoreStats, Fidelity,
-    MulticoreOutput, PacketTrace,
+    run_multicore_batch, BatchScratch, CoreOutput, CoreScratch, CoreStats, Fidelity,
+    MulticoreOutput,
 };
 pub use error::EngineError;
 pub use math::{hypergeometric_pmf, ln_choose, ln_gamma};

@@ -17,7 +17,9 @@
 //!   must stay ≤ 2%).
 //!
 //! Globals (not thread-locals) are deliberate: `run_multicore_impl`
-//! spawns a scoped thread per channel partition, so per-thread
+//! runs each channel partition as a task on the shared
+//! [`exec`](crate::exec) executor, so a call's stage time accrues on
+//! whichever executor threads ran its tasks, and per-thread
 //! accumulators would be stranded on threads the caller never sees.
 //! A caller brackets an engine call with [`totals_ns`] snapshots and
 //! takes the difference; the deltas are exact when queries are

@@ -37,6 +37,7 @@ use crate::backend::{
     BackendPerf, BackendStats, PreparedMatrix, QueryBatch, QueryResult, QueryTier, TopKBackend,
 };
 use crate::error::EngineError;
+use crate::exec;
 use crate::topk::TopKResult;
 
 /// A [`TopKBackend`] that answers queries in two phases — low-bit prune,
@@ -80,7 +81,7 @@ pub struct PrunedBackend {
 struct PrunedState {
     csr: Csr,
     inner_prepared: PreparedMatrix,
-    prune: Option<PruneIndex>,
+    prune: Option<Arc<PruneIndex>>,
 }
 
 impl PrunedBackend {
@@ -113,7 +114,9 @@ impl PrunedBackend {
         })
     }
 
-    /// Sets the worker-thread count for the prune scoring pass.
+    /// Sets how many row ranges the prune scoring pass is split into;
+    /// the ranges run as tasks on the shared [`exec`](crate::exec)
+    /// executor, and one range runs inline on the calling thread.
     ///
     /// # Errors
     ///
@@ -147,22 +150,26 @@ impl PrunedBackend {
         matrix.downcast(&self.family())
     }
 
-    /// Scores every row with the low-bit index, in parallel row ranges.
-    fn prune_scores(&self, prune: &PruneIndex, q: &[u16]) -> Vec<u64> {
+    /// Scores every row with the low-bit index: one row range per
+    /// configured thread, each a task on the shared executor (a single
+    /// range runs inline).
+    fn prune_scores(&self, prune: &Arc<PruneIndex>, q: Vec<u16>) -> Vec<u64> {
         let rows = prune.num_rows();
-        let mut scores = vec![0u64; rows];
-        let threads = self.threads.clamp(1, rows.max(1));
-        if threads <= 1 {
-            prune.score_rows(0, q, &mut scores);
-        } else {
-            let chunk = rows.div_ceil(threads);
-            std::thread::scope(|s| {
-                for (i, out) in scores.chunks_mut(chunk).enumerate() {
-                    s.spawn(move || prune.score_rows(i * chunk, q, out));
-                }
-            });
+        let ranges = self.threads.clamp(1, rows.max(1));
+        if ranges <= 1 {
+            let mut scores = vec![0u64; rows];
+            prune.score_rows(0, &q, &mut scores);
+            return scores;
         }
-        scores
+        let chunk = rows.div_ceil(ranges);
+        let prune = Arc::clone(prune);
+        exec::run_tasks(rows.div_ceil(chunk), move |i| {
+            let first = i * chunk;
+            let mut out = vec![0u64; chunk.min(rows - first)];
+            prune.score_rows(first, &q, &mut out);
+            out
+        })
+        .concat()
     }
 
     /// The staged query at an explicit shortlist factor.
@@ -204,7 +211,7 @@ impl PrunedBackend {
         let started = Instant::now();
         let prune_timer = crate::obs_hooks::StageTimer::start(crate::obs_hooks::STAGE_PRUNE);
         let q = prune.quantize_query(x.as_slice());
-        let scores = self.prune_scores(prune, &q);
+        let scores = self.prune_scores(prune, q);
 
         // Cut the shortlist under the engine-wide total order (score
         // descending, row ascending) on the deterministic integer
@@ -300,7 +307,7 @@ impl TopKBackend for PrunedBackend {
         // beyond u16, nnz beyond u32) degrade gracefully to the exact
         // path; `BackendStats::Pruned { pruned: false }` makes the
         // fall-through observable.
-        let prune = PruneIndex::build(csr, self.bits).ok();
+        let prune = PruneIndex::build(csr, self.bits).ok().map(Arc::new);
         Ok(PreparedMatrix::new(
             self.family(),
             csr.num_rows(),
@@ -358,7 +365,7 @@ impl TopKBackend for PrunedBackend {
         &self,
         matrix: &PreparedMatrix,
     ) -> Result<Option<PruneIndex>, EngineError> {
-        Ok(self.state(matrix)?.prune.clone())
+        Ok(self.state(matrix)?.prune.as_deref().cloned())
     }
 
     fn restore_payload(&self, payload: SnapshotPayload) -> Result<PreparedMatrix, EngineError> {
@@ -390,7 +397,7 @@ impl TopKBackend for PrunedBackend {
             PrunedState {
                 csr,
                 inner_prepared,
-                prune: companion,
+                prune: companion.map(Arc::new),
             },
         ))
     }

@@ -535,7 +535,7 @@ fn worker_loop(inner: &Arc<Inner>, shard_index: usize) {
         job.engine_wall_us.fetch_max(engine_us, Ordering::Relaxed);
         // Attribute the engine-internal stage-hook time this shard's
         // call added. The hooks are process-global counters (the engine
-        // fans out to its own scoped threads), so concurrent jobs can
+        // fans out to the shared executor's threads), so concurrent jobs can
         // bleed into each other's deltas; the breakdown is diagnostic,
         // and finalize clamps sub-stages into the engine wall interval.
         let hooks_after = tkspmv::obs_hooks::totals_ns();

@@ -16,6 +16,8 @@
 //! entries so that positional row counting stays correct (the paper does
 //! the same; its application domain never produces empty rows).
 
+use std::sync::Arc;
+
 use tkspmv_fixed::SpmvScalar;
 
 use crate::bitio::BitWriter;
@@ -25,6 +27,11 @@ use crate::layout::PacketLayout;
 use crate::packet::{extract_field, field_mask, for_each_field, Packet512, PACKET_BYTES};
 
 /// A sparse matrix encoded as a stream of BS-CSR packets.
+///
+/// The packet stream is shared behind an [`Arc`], so cloning a `BsCsr`
+/// is O(1): the engine hands each partition to a `'static` executor
+/// task by cloning it, the way a resident HBM channel is shared by
+/// every query that streams past it.
 ///
 /// # Example
 ///
@@ -41,7 +48,7 @@ use crate::packet::{extract_field, field_mask, for_each_field, Packet512, PACKET
 #[derive(Debug, Clone, PartialEq)]
 pub struct BsCsr {
     layout: PacketLayout,
-    packets: Vec<Packet512>,
+    packets: Arc<[Packet512]>,
     num_rows: usize,
     num_cols: usize,
     /// Stored entries, including empty-row placeholders.
@@ -118,7 +125,7 @@ impl BsCsr {
 
         Self {
             layout,
-            packets,
+            packets: packets.into(),
             num_rows: csr.num_rows(),
             num_cols: csr.num_cols(),
             stored_entries: stream.len() as u64,
@@ -176,7 +183,7 @@ impl BsCsr {
         }
         let matrix = Self {
             layout,
-            packets,
+            packets: packets.into(),
             num_rows,
             num_cols,
             stored_entries,
@@ -200,7 +207,7 @@ impl BsCsr {
     /// of [`BsCsr::validate`] (a corrupted stream must be detected, not
     /// silently mis-decoded).
     pub fn packets_mut(&mut self) -> &mut [Packet512] {
-        &mut self.packets
+        Arc::make_mut(&mut self.packets)
     }
 
     /// Number of packets.

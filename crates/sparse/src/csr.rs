@@ -1,5 +1,7 @@
 //! Compressed Sparse Row (CSR) matrix.
 
+use std::sync::Arc;
+
 use crate::coo::Coo;
 use crate::error::SparseError;
 
@@ -9,6 +11,10 @@ use crate::error::SparseError;
 /// it) and the canonical source from which [`crate::BsCsr`] is encoded.
 /// Row `r` owns entries `row_ptr[r] .. row_ptr[r + 1]` of the `col_idx`
 /// and `values` arrays.
+///
+/// The three arrays are shared behind [`Arc`]s, so cloning a `Csr` is
+/// O(1): a CPU baseline can hand row ranges of one collection to the
+/// shared executor's `'static` tasks without copying it.
 ///
 /// # Example
 ///
@@ -24,9 +30,9 @@ use crate::error::SparseError;
 pub struct Csr {
     num_rows: usize,
     num_cols: usize,
-    row_ptr: Vec<u64>,
-    col_idx: Vec<u32>,
-    values: Vec<f32>,
+    row_ptr: Arc<Vec<u64>>,
+    col_idx: Arc<Vec<u32>>,
+    values: Arc<Vec<f32>>,
 }
 
 /// Per-row non-zero statistics, reported by [`Csr::row_stats`] and used
@@ -109,13 +115,9 @@ impl Csr {
                 num_cols,
             });
         }
-        Ok(Self {
-            num_rows,
-            num_cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
+        Ok(Self::from_parts_unchecked(
+            num_rows, num_cols, row_ptr, col_idx, values,
+        ))
     }
 
     /// Builds from parts that are known to be valid (internal fast path
@@ -132,9 +134,9 @@ impl Csr {
         Self {
             num_rows,
             num_cols,
-            row_ptr,
-            col_idx,
-            values,
+            row_ptr: Arc::new(row_ptr),
+            col_idx: Arc::new(col_idx),
+            values: Arc::new(values),
         }
     }
 
@@ -208,16 +210,17 @@ impl Csr {
     /// unchanged). Embedding collections are normalised so Top-K dot
     /// products rank by cosine similarity.
     pub fn normalize_rows(&mut self) {
+        let values = Arc::make_mut(&mut self.values);
         for r in 0..self.num_rows {
             let lo = self.row_ptr[r] as usize;
             let hi = self.row_ptr[r + 1] as usize;
-            let norm = self.values[lo..hi]
+            let norm = values[lo..hi]
                 .iter()
                 .map(|v| (*v as f64) * (*v as f64))
                 .sum::<f64>()
                 .sqrt();
             if norm > 0.0 {
-                for v in &mut self.values[lo..hi] {
+                for v in &mut values[lo..hi] {
                     *v = (*v as f64 / norm) as f32;
                 }
             }

@@ -12,7 +12,7 @@ use tkspmv::{
 };
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision, GpuTopK};
-use tkspmv_fixed::{SpmvScalar, F32, Q1_19};
+use tkspmv_fixed::{Half, SpmvScalar, F32, Q1_19, Q1_24, Q1_31};
 use tkspmv_sparse::{BsCsr, Csr, DenseVector, PacketLayout};
 
 /// All three engine families behind the unified trait. The accelerator
@@ -34,7 +34,10 @@ fn all_backends() -> Vec<Box<dyn TopKBackend>> {
 }
 
 /// A random matrix, a random batch of queries of matching dimension,
-/// and a K every backend can serve.
+/// and a K every backend can serve. Batches reach 40 queries, so the
+/// engine replays full 8-lane blocks as well as the scalar remainder
+/// lanes; the column range covers both the masked power-of-two gather
+/// and the bounds-checked one.
 fn arb_case() -> impl Strategy<Value = (Csr, Vec<DenseVector>, usize)> {
     (2usize..40, 4usize..96, 1usize..9).prop_flat_map(|(rows, cols, k)| {
         let matrix = proptest::collection::btree_set((0..rows as u32, 0..cols as u32), 1..120)
@@ -48,7 +51,7 @@ fn arb_case() -> impl Strategy<Value = (Csr, Vec<DenseVector>, usize)> {
             });
         let batch = proptest::collection::vec(
             proptest::collection::vec(0.0f32..1.0, cols..=cols).prop_map(DenseVector::from_values),
-            1..6,
+            1..=40,
         );
         (matrix, batch, Just(k))
     })
@@ -63,9 +66,8 @@ fn assert_engine_batch_matches_sequential<S: SpmvScalar>(
     csr: &Csr,
     queries: &[DenseVector],
     k: usize,
-    value_bits: u32,
 ) -> Result<(), TestCaseError> {
-    let layout = PacketLayout::solve(csr.num_cols(), value_bits).expect("layout solves");
+    let layout = PacketLayout::solve(csr.num_cols(), S::VALUE_BITS).expect("layout solves");
     let bs = BsCsr::encode::<S>(csr, layout);
     let qs: Vec<Vec<S>> = queries
         .iter()
@@ -96,15 +98,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The engine contract underneath every backend, for both
-    /// fidelities: 20-bit fixed point (saturating accumulation) and the
-    /// f32 reference datapath.
+    /// fidelities and all five datapaths: 20/25/32-bit fixed point
+    /// (saturating accumulation), f32, and binary16 (rounded at every
+    /// partial sum).
     #[test]
     fn engine_batch_is_bit_identical_for_both_fidelities(
         (csr, queries, k) in arb_case()
     ) {
         let k = k.min(csr.num_rows()).max(1);
-        assert_engine_batch_matches_sequential::<Q1_19>(&csr, &queries, k, 20)?;
-        assert_engine_batch_matches_sequential::<F32>(&csr, &queries, k, 32)?;
+        assert_engine_batch_matches_sequential::<Q1_19>(&csr, &queries, k)?;
+        assert_engine_batch_matches_sequential::<Q1_24>(&csr, &queries, k)?;
+        assert_engine_batch_matches_sequential::<Q1_31>(&csr, &queries, k)?;
+        assert_engine_batch_matches_sequential::<F32>(&csr, &queries, k)?;
+        assert_engine_batch_matches_sequential::<Half>(&csr, &queries, k)?;
     }
 
     #[test]

@@ -151,7 +151,7 @@ proptest! {
     fn batch_scratch_reuse_never_leaks_across_batch_sizes(
         csr_a in arb_matrix(),
         csr_b in arb_matrix(),
-        sizes in proptest::collection::vec(1usize..9, 2..6),
+        sizes in proptest::collection::vec(1usize..=20, 2..6),
     ) {
         let enc = |csr: &Csr| {
             let layout = PacketLayout::solve(csr.num_cols(), 20).unwrap();

@@ -7,7 +7,9 @@
 //! Ignored by default because the `#[global_allocator]` swap is global
 //! to this test binary (which is why the test lives alone in it); CI
 //! runs it explicitly with `cargo test --release --test zero_alloc --
-//! --ignored`.
+//! --ignored`. The counting tests hold one process-wide lock for their
+//! whole run, so a concurrent test's allocations cannot land in another
+//! test's measurement window.
 
 // The one sanctioned unsafe block in the workspace: implementing
 // `GlobalAlloc` for the counting allocator requires it. Library code
@@ -16,10 +18,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use tkspmv::{
-    quantize_vector, run_core_batch_with_scratch, run_core_with_scratch, BatchScratch, CoreScratch,
-    Fidelity,
+    quantize_vector, run_core_batch_with_scratch, run_core_with_scratch, Accelerator, BatchScratch,
+    CoreScratch, Fidelity,
 };
 use tkspmv_fixed::Q1_19;
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
@@ -66,6 +69,13 @@ fn synthetic(rows: usize, seed: u64) -> Csr {
     .generate()
 }
 
+/// Serialises the counting tests: the allocation counter is global to
+/// the process, and the test harness runs tests on parallel threads.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Allocation calls made while running `f`, minimised over a few trials
 /// so an unrelated one-off (e.g. lazy runtime init) cannot inflate it.
 fn allocations_during<R>(mut f: impl FnMut() -> R) -> u64 {
@@ -82,6 +92,7 @@ fn allocations_during<R>(mut f: impl FnMut() -> R) -> u64 {
 #[test]
 #[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
 fn steady_state_packet_loop_is_allocation_free() {
+    let _serial = exclusive();
     let layout = PacketLayout::solve(1024, 20).unwrap();
     let small = BsCsr::encode::<Q1_19>(&synthetic(1_500, 3), layout);
     let large = BsCsr::encode::<Q1_19>(&synthetic(20_000, 4), layout);
@@ -129,6 +140,7 @@ fn steady_state_packet_loop_is_allocation_free() {
 #[test]
 #[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
 fn obs_recording_path_is_allocation_free() {
+    let _serial = exclusive();
     use std::time::Duration;
     use tkspmv_obs::{Registry, SpanRecord, SpanRing, Stage, TraceId};
 
@@ -167,6 +179,7 @@ fn obs_recording_path_is_allocation_free() {
 #[test]
 #[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
 fn prune_scoring_loop_is_allocation_free() {
+    let _serial = exclusive();
     use tkspmv_fixed::PruneBits;
     use tkspmv_sparse::PruneIndex;
 
@@ -197,6 +210,7 @@ fn prune_scoring_loop_is_allocation_free() {
 #[test]
 #[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
 fn wire_frame_encode_reuse_is_allocation_free() {
+    let _serial = exclusive();
     use tkspmv_fabric::wire::{encode_frame_into, FrameKind};
     use tkspmv_fabric::WIRE_VERSION;
 
@@ -230,6 +244,8 @@ fn exercised_modules_are_declared_hot() {
     .expect("hot-path listing exists");
     for module in [
         "crates/core/src/engine/core_model.rs",
+        "crates/core/src/engine/multicore.rs",
+        "crates/core/src/exec.rs",
         "crates/core/src/topk.rs",
         "crates/sparse/src/packet.rs",
         "crates/sparse/src/prune.rs",
@@ -247,6 +263,7 @@ fn exercised_modules_are_declared_hot() {
 #[test]
 #[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
 fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
+    let _serial = exclusive();
     let layout = PacketLayout::solve(1024, 20).unwrap();
     let small = BsCsr::encode::<Q1_19>(&synthetic(1_500, 3), layout);
     let large = BsCsr::encode::<Q1_19>(&synthetic(20_000, 4), layout);
@@ -291,5 +308,79 @@ fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
     assert!(
         baseline <= 2,
         "warm batch pass unexpectedly allocates: {baseline} calls"
+    );
+}
+
+/// A warm `Accelerator::query_batch` — 32 partitions as executor tasks,
+/// B = 32 in four full lane blocks — costs a fixed number of allocation
+/// calls: the same on the second call as on the hundredth, and the same
+/// when the row count (so the packet count) doubles. The executor
+/// threads keep their `BatchScratch` resident and the caller reuses its
+/// query block, so what remains is per-call result assembly, fixed by B
+/// and the partition count.
+#[test]
+#[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
+fn warm_accelerator_query_batch_allocations_are_constant() {
+    let _serial = exclusive();
+    let acc = Accelerator::builder()
+        .cores(32)
+        .k(8)
+        .build()
+        .expect("paper design builds");
+    let small = acc.load_matrix(&synthetic(4_000, 3)).expect("loads");
+    let large = acc.load_matrix(&synthetic(8_000, 4)).expect("loads");
+    let packets = |m: &tkspmv::LoadedMatrix| -> usize {
+        m.partitions.iter().map(|(_, p)| p.num_packets()).sum()
+    };
+    assert!(
+        packets(&large) >= 2 * packets(&small) * 9 / 10,
+        "need about twice the packets ({} vs {})",
+        packets(&large),
+        packets(&small)
+    );
+    let queries: Vec<_> = (0..32).map(|seed| query_vector(1024, seed)).collect();
+    let call = |m: &tkspmv::LoadedMatrix| acc.query_batch(m, &queries, 100).expect("runs").len();
+
+    // The first call sizes every resident buffer (on whichever threads
+    // its tasks land) for both streams.
+    assert_eq!(call(&large), 32);
+    assert_eq!(call(&small), 32);
+    let second = allocations_during(|| call(&small));
+    for _ in 0..96 {
+        call(&small);
+    }
+    let hundredth = allocations_during(|| call(&small));
+    let doubled = allocations_during(|| call(&large));
+    assert_eq!(
+        second, hundredth,
+        "warm query_batch allocations drift between calls ({second} vs {hundredth})"
+    );
+    assert_eq!(
+        second, doubled,
+        "query_batch allocations depend on the packet count ({second} vs {doubled})"
+    );
+
+    // A constant count alone would also hold if every call built a
+    // fresh scratch per partition; that would add at least what one
+    // cold pass over the partitions costs, which the whole warm call
+    // must stay below.
+    let xs: Vec<Vec<Q1_19>> = queries
+        .iter()
+        .map(|x| quantize_vector::<Q1_19>(x.as_slice()))
+        .collect();
+    let cold = allocations_during(|| {
+        small
+            .partitions
+            .iter()
+            .map(|(_, part)| {
+                let mut scratch = BatchScratch::new();
+                run_core_batch_with_scratch(part, &xs, 8, Fidelity::Reference, &mut scratch).len()
+            })
+            .sum::<usize>()
+    });
+    assert!(
+        second < cold,
+        "warm query_batch ({second} allocation calls) costs as much as building \
+         a scratch per partition ({cold})"
     );
 }
